@@ -123,6 +123,53 @@ class msb_bit_reservoir {
   u32 avail_ = 0;
 };
 
+/// 64-bit MSB-first accumulator writer: the Huffman encoder's output side
+/// and the twin of msb_bit_reservoir (it writes exactly the bitstream the
+/// reservoir reads).
+///
+/// Codes enter right-aligned at the bottom of the accumulator; once 32 or
+/// more bits are pending, the oldest 32 leave as one big-endian word
+/// store. Fewer than 32 bits are pending before a put and a code is at
+/// most 32 bits, so the accumulator never overflows.
+///
+/// Contract: a stream of `b` bits touches exactly bytes [0, ceil(b/8)) of
+/// `dst` — whole words while encoding, then flush() writes the tail bytes
+/// with the last one zero-padded. Writers over adjacent byte ranges of one
+/// buffer may therefore run concurrently.
+class msb_bit_writer {
+ public:
+  explicit msb_bit_writer(u8* dst) : dst_(dst) {}
+
+  /// Append the low `nbits` (<= 32) of `code`; higher bits must be zero.
+  void put(u32 code, u32 nbits) {
+    acc_ = (acc_ << nbits) | code;
+    pending_ += nbits;
+    if (pending_ >= 32) {
+      pending_ -= 32;
+      u32 w = static_cast<u32>(acc_ >> pending_);
+      if constexpr (std::endian::native == std::endian::little) {
+        w = static_cast<u32>(byteswap64(w) >> 32);
+      }
+      std::memcpy(dst_, &w, 4);
+      dst_ += 4;
+    }
+  }
+
+  /// Write the pending bits, zero-padding the final byte.
+  void flush() {
+    for (; pending_ >= 8; pending_ -= 8) {
+      *dst_++ = static_cast<u8>(acc_ >> (pending_ - 8));
+    }
+    if (pending_) *dst_++ = static_cast<u8>(acc_ << (8 - pending_));
+    pending_ = 0;
+  }
+
+ private:
+  u8* dst_;
+  u64 acc_ = 0;
+  u32 pending_ = 0;
+};
+
 /// Read `nbits` (<= 57) starting at an arbitrary bit offset. The source
 /// must have 8 readable bytes past the last consumed position (decoders
 /// pad their input copies).

@@ -404,22 +404,65 @@ huffman_tier env_default_tier() {
   return parse_huffman_tier(v);
 }
 
-/// Encode one chunk MSB-first into `dst` (sized worst case); returns bits.
-u64 encode_chunk(std::span<const u16> chunk, const huffman_codebook& book,
-                 u8* dst) {
-  u64 bitpos = 0;
-  for (const u16 sym : chunk) {
-    const u8 l = book.len[sym];
-    FZMOD_REQUIRE(l != 0, status::internal,
-                  "huffman: symbol missing from codebook");
-    const u32 c = book.code[sym];
-    // MSB-first append.
-    for (u32 b = 0; b < l; ++b, ++bitpos) {
-      if ((c >> (l - 1 - b)) & 1u) dst[bitpos >> 3] |= u8(1u << (7 - (bitpos & 7)));
-    }
+/// Encode table entry per symbol: (code << 8) | len, so one load yields
+/// both.
+std::vector<u32> encode_table(const huffman_codebook& book) {
+  std::vector<u32> table(book.len.size());
+  for (std::size_t sym = 0; sym < table.size(); ++sym) {
+    table[sym] = (book.code[sym] << 8) | book.len[sym];
   }
-  return bitpos;
+  return table;
 }
+
+/// Counting-pass length marking a symbol with no codeword; no real length
+/// (<= 24) has this bit set.
+constexpr u8 no_code = 0x80;
+
+/// Code length per symbol for the counting pass, plus one trailing
+/// sentinel entry that every code >= nbins is clamped to. Zero-frequency
+/// symbols and the sentinel read `no_code`.
+std::vector<u8> count_table(const huffman_codebook& book) {
+  std::vector<u8> lens(book.len.size() + 1, no_code);
+  for (std::size_t sym = 0; sym < book.len.size(); ++sym) {
+    if (book.len[sym]) lens[sym] = book.len[sym];
+  }
+  return lens;
+}
+
+/// Counting pass for one chunk: its payload size in bits. Codes outside
+/// the alphabet and codes without a codeword are rejected here, before
+/// the write pass indexes the encode table with them.
+u64 chunk_bits(std::span<const u16> chunk, std::span<const u8> lens) {
+  const u32 sentinel = static_cast<u32>(lens.size() - 1);
+  u32 bits = 0;
+  u32 seen = 0;
+  for (const u16 sym : chunk) {
+    const u32 l = lens[std::min<u32>(sym, sentinel)];
+    bits += l;
+    seen |= l;
+  }
+  FZMOD_REQUIRE(!(seen & no_code), status::invalid_argument,
+                "huffman: code outside the histogram's alphabet or with "
+                "zero frequency");
+  return bits;
+}
+
+/// Encode one validated chunk MSB-first into exactly ceil(bits/8) bytes
+/// at `dst`.
+void encode_chunk(std::span<const u16> chunk, std::span<const u32> table,
+                  u8* dst) {
+  msb_bit_writer w(dst);
+  for (const u16 sym : chunk) {
+    const u32 e = table[sym];
+    w.put(e >> 8, e & 0xffu);
+  }
+  w.flush();
+}
+
+/// Chunks per counting task. Counting is one table load per symbol, far
+/// cheaper than encoding, so inputs of up to this many chunks count on
+/// the calling thread without a pool dispatch.
+constexpr std::size_t count_chunks_per_task = 8;
 
 }  // namespace
 
@@ -443,46 +486,45 @@ f64 huffman_codebook::expected_bits(std::span<const u32> freq) const {
 std::vector<u8> huffman_encode(std::span<const u16> codes,
                                std::span<const u32> hist) {
   const auto book = huffman_codebook::build(hist);
+  const auto lens = count_table(book);
+  const auto table = encode_table(book);
   const std::size_t n = codes.size();
   const std::size_t nchunks = n ? (n - 1) / huffman_chunk + 1 : 0;
+  const auto chunk_of = [&](std::size_t c) {
+    const std::size_t beg = c * huffman_chunk;
+    return codes.subspan(beg, std::min(n, beg + huffman_chunk) - beg);
+  };
+  auto& pool = device::runtime::instance().pool();
 
-  // Encode chunks in parallel into scratch buffers.
-  std::vector<std::vector<u8>> scratch(nchunks);
-  std::vector<u64> chunk_bytes(nchunks, 0);
-  device::runtime::instance().pool().parallel_for(
-      nchunks, 1, [&](std::size_t lo, std::size_t hi) {
+  // Pass 1: every chunk's exact byte size, prefix-summed in place into the
+  // chunk offset table the blob stores.
+  std::vector<u64> offsets(nchunks + 1, 0);
+  pool.parallel_for(
+      nchunks, count_chunks_per_task, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t c = lo; c < hi; ++c) {
-          const std::size_t beg = c * huffman_chunk;
-          const std::size_t end = std::min(n, beg + huffman_chunk);
-          auto& buf = scratch[c];
-          buf.assign((end - beg) * (huffman_max_code_len / 8 + 1) + 8, 0);
-          const u64 bits =
-              encode_chunk(codes.subspan(beg, end - beg), book, buf.data());
-          chunk_bytes[c] = (bits + 7) / 8;
+          offsets[c + 1] = (chunk_bits(chunk_of(c), lens) + 7) / 8;
         }
       });
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
-  // Assemble the blob: header | lens | offsets | payload.
-  std::vector<u64> offsets(nchunks + 1, 0);
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    offsets[c + 1] = offsets[c] + chunk_bytes[c];
-  }
+  // Pass 2: size the blob once (header | lens | offsets | payload) and
+  // encode every chunk straight into its final byte range.
   const blob_header hdr{blob_magic, static_cast<u32>(hist.size()),
                         static_cast<u64>(n), static_cast<u32>(nchunks),
                         static_cast<u32>(huffman_chunk)};
-  std::vector<u8> blob(sizeof(hdr) + hist.size() +
-                       (nchunks + 1) * sizeof(u64) + offsets[nchunks] + 8);
-  u8* p = blob.data();
-  std::memcpy(p, &hdr, sizeof(hdr));
-  p += sizeof(hdr);
-  std::memcpy(p, book.len.data(), book.len.size());
-  p += book.len.size();
-  std::memcpy(p, offsets.data(), (nchunks + 1) * sizeof(u64));
-  p += (nchunks + 1) * sizeof(u64);
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    std::memcpy(p + offsets[c], scratch[c].data(), chunk_bytes[c]);
-  }
-  blob.resize(static_cast<std::size_t>(p - blob.data()) + offsets[nchunks]);
+  const std::size_t meta =
+      sizeof(hdr) + book.len.size() + offsets.size() * sizeof(u64);
+  std::vector<u8> blob(meta + offsets[nchunks]);
+  std::memcpy(blob.data(), &hdr, sizeof(hdr));
+  std::memcpy(blob.data() + sizeof(hdr), book.len.data(), book.len.size());
+  std::memcpy(blob.data() + sizeof(hdr) + book.len.size(), offsets.data(),
+              offsets.size() * sizeof(u64));
+  u8* payload = blob.data() + meta;
+  pool.parallel_for(nchunks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      encode_chunk(chunk_of(c), table, payload + offsets[c]);
+    }
+  });
   return blob;
 }
 

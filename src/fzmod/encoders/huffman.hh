@@ -16,6 +16,16 @@
 //    Huffman layout;
 //  - fully self-contained archive blob (header + lengths + chunk offsets +
 //    bitstream), validated on decode.
+//
+// Encode runs in two chunk-parallel passes (cuSZ's prefix-summed bit
+// offsets, at byte granularity since every chunk starts on a byte):
+//  1. count — sum the code length of every symbol per chunk (rejecting
+//     codes outside the alphabet or without a codeword), round each sum up
+//     to whole bytes and prefix-sum them into the stored offset table;
+//  2. write — size the blob exactly once, then encode every chunk straight
+//     into its final byte range with the word-at-a-time msb_bit_writer
+//     (common/bits.hh). A chunk touches only its own ceil(bits/8) bytes,
+//     so all chunks write into the one blob concurrently.
 #pragma once
 
 #include <span>
@@ -43,7 +53,8 @@ struct huffman_codebook {
 };
 
 /// Encode `codes` (symbols < nbins) given their histogram. Returns a
-/// self-contained blob.
+/// self-contained blob. Throws `status::invalid_argument` if a code is
+/// >= hist.size() or has zero frequency in `hist` (no codeword).
 [[nodiscard]] std::vector<u8> huffman_encode(std::span<const u16> codes,
                                              std::span<const u32> hist);
 

@@ -185,7 +185,8 @@ std::vector<u8> compress(std::span<const u8> raw) {
     hdr.mode = 1;
     std::vector<u8> blob(sizeof(hdr) + raw.size());
     std::memcpy(blob.data(), &hdr, sizeof(hdr));
-    std::memcpy(blob.data() + sizeof(hdr), raw.data(), raw.size());
+    // std::copy, not memcpy: an empty input's data() may be null.
+    std::copy(raw.begin(), raw.end(), blob.begin() + sizeof(hdr));
     return blob;
   }
   std::vector<u8> blob(framed);
@@ -233,7 +234,7 @@ std::vector<u8> decompress(std::span<const u8> blob) {
   if (hdr.mode == 1) {
     FZMOD_REQUIRE(blob.size() >= sizeof(hdr) + hdr.raw_size,
                   status::corrupt_archive, "lz: truncated stored blob");
-    std::memcpy(raw.data(), blob.data() + sizeof(hdr), hdr.raw_size);
+    std::copy_n(blob.begin() + sizeof(hdr), hdr.raw_size, raw.begin());
     return raw;
   }
   const std::size_t nseg = hdr.nsegments;

@@ -97,6 +97,41 @@ TEST(Bits, WriterReaderRoundTrip) {
   EXPECT_EQ(br.get(40), 0x123456789aULL);
 }
 
+TEST(Bits, MsbWriterMatchesReservoirAndStaysInBounds) {
+  // Random code lengths 1..24 (the Huffman cap), streams ending at every
+  // bit phase: the reservoir must read back every code, the final byte
+  // must be zero-padded, and no byte past ceil(bits/8) may be touched.
+  rng r(5);
+  for (u32 ncodes = 0; ncodes < 80; ++ncodes) {
+    std::vector<std::pair<u32, u32>> codes(ncodes);
+    u64 bits = 0;
+    for (auto& [code, len] : codes) {
+      len = 1 + static_cast<u32>(r.next_below(24));
+      code = static_cast<u32>(r.next_u64()) & ((u32{1} << len) - 1);
+      bits += len;
+    }
+    const u64 nbytes = (bits + 7) / 8;
+    std::vector<u8> buf(nbytes + 16, 0xa5);
+    msb_bit_writer w(buf.data());
+    for (const auto& [code, len] : codes) w.put(code, len);
+    w.flush();
+    for (u64 i = nbytes; i < buf.size(); ++i) {
+      ASSERT_EQ(buf[i], 0xa5) << "ncodes " << ncodes << " byte " << i;
+    }
+    if (bits % 8) {
+      EXPECT_EQ(buf[nbytes - 1] & ((1u << (8 - bits % 8)) - 1), 0u);
+    }
+    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(nbytes), buf.end(),
+              0);
+    msb_bit_reservoir br(buf.data());
+    for (const auto& [code, len] : codes) {
+      br.ensure(len);
+      ASSERT_EQ(br.peek(len), code);
+      br.consume(len);
+    }
+  }
+}
+
 TEST(Bits, ReaderPeekDoesNotConsume) {
   std::vector<u8> buf(64, 0);
   bit_writer bw(buf.data());

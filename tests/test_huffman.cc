@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
 #include "fzmod/common/error.hh"
+#include "fzmod/common/hash.hh"
 #include "fzmod/common/rng.hh"
 #include "fzmod/encoders/huffman.hh"
+#include "fzmod/lossless/lz.hh"
 
 namespace fzmod::encoders {
 namespace {
@@ -308,6 +311,136 @@ TEST(HuffmanDecodedCount, RejectsForgedCount) {
   const u64 forged = u64{1} << 40;
   std::memcpy(blob.data() + 8, &forged, sizeof(forged));
   EXPECT_THROW((void)huffman_decoded_count(blob), error);
+}
+
+// ---- byte identity ---------------------------------------------------------
+//
+// Golden xxhash64 digests of encoded blobs. Archives embed these bytes, so
+// any encoder rewrite must reproduce them exactly. The inputs are built
+// from integer-only draws so they are identical on every platform.
+
+/// Quant-code-like stream: a two-sided geometric around `radius`.
+std::vector<u16> geometric_codes(std::size_t n, u64 seed, u16 radius) {
+  rng r(seed);
+  std::vector<u16> codes(n);
+  for (auto& c : codes) {
+    const u64 w = r.next_u64();
+    const int k = std::countr_zero(w | (u64{1} << 20)) * 2 +
+                  static_cast<int>((w >> 40) & 1);
+    c = static_cast<u16>((w >> 63) ? radius + k : radius - k);
+  }
+  return codes;
+}
+
+/// Fibonacci frequencies over 48 symbols: skewed enough that the
+/// unrestricted tree is deeper than the 24-bit cap.
+std::vector<u32> fibonacci_freq() {
+  std::vector<u32> freq(48);
+  u64 a = 1, b = 1;
+  for (auto& f : freq) {
+    f = static_cast<u32>(std::min<u64>(a, 0x7fffffff));
+    const u64 c = a + b;
+    a = b;
+    b = c;
+  }
+  return freq;
+}
+
+u64 digest(const std::vector<u8>& blob) {
+  return common::xxhash64(blob.data(), blob.size());
+}
+
+/// Encode against `hist`, check the digest, and round-trip every tier.
+void golden_expect(const std::vector<u16>& codes, std::span<const u32> hist,
+                   u64 want) {
+  const auto blob = huffman_encode(codes, hist);
+  EXPECT_EQ(digest(blob), want)
+      << std::hex << "got 0x" << digest(blob) << " (n=" << std::dec
+      << codes.size() << ")";
+  ASSERT_EQ(huffman_decoded_count(blob), codes.size());
+  for (const huffman_tier t :
+       {huffman_tier::auto_select, huffman_tier::canonical,
+        huffman_tier::single_cached, huffman_tier::double_cached}) {
+    std::vector<u16> out(codes.size());
+    huffman_decode(blob, out, t);
+    ASSERT_TRUE(out == codes) << "tier " << to_string(t);
+  }
+}
+
+TEST(HuffmanGolden, GeometricQuantCodes) {
+  constexpr std::pair<std::size_t, u64> cases[] = {
+      {1, 0xd961683232dbd9bbULL},
+      {huffman_chunk - 1, 0x3308efe023d947dbULL},
+      {huffman_chunk, 0x700b87de6a849c9eULL},
+      {huffman_chunk + 1, 0xba67037cab63b3a4ULL},
+      {3 * huffman_chunk + 5, 0x08ab61ba4f9f31f9ULL},
+      {200000, 0x87cbe73b34b3717bULL},
+  };
+  for (const auto& [n, want] : cases) {
+    const auto codes = geometric_codes(n, 70 + n, 512);
+    golden_expect(codes, histogram_of(codes, 1024), want);
+  }
+}
+
+TEST(HuffmanGolden, SingleSymbolAlphabet) {
+  const std::vector<u16> codes(3 * huffman_chunk + 5, 7);
+  golden_expect(codes, histogram_of(codes, 16), 0xc26d332970554a82ULL);
+}
+
+TEST(HuffmanGolden, FibonacciHitsLengthCap) {
+  const auto freq = fibonacci_freq();
+  const auto book = huffman_codebook::build(freq);
+  ASSERT_EQ(*std::max_element(book.len.begin(), book.len.end()),
+            huffman_max_code_len);
+  rng r(71);
+  std::vector<u16> codes(3 * huffman_chunk + 5);
+  for (auto& c : codes) c = static_cast<u16>(r.next_below(freq.size()));
+  golden_expect(codes, freq, 0x14ab8f80374f63feULL);
+}
+
+TEST(HuffmanGolden, LosslessCompress) {
+  // Text-like repeats, literal noise and runs: exercises both the LZ token
+  // alphabet and the Huffman pass behind it, over two 1 MiB segments.
+  rng r(72);
+  const std::string phrase = "lorenzo+huffman+lz spline+topk+huffman ";
+  std::vector<u8> raw;
+  while (raw.size() < (std::size_t{1} << 20) + 12345) {
+    const u64 w = r.next_u64();
+    if ((w & 3) == 0) {
+      raw.insert(raw.end(), (w >> 8) & 31, static_cast<u8>(w >> 16));
+    } else if ((w & 3) == 1) {
+      raw.push_back(static_cast<u8>(w >> 24));
+    } else {
+      const auto len = static_cast<std::ptrdiff_t>(8 + (w >> 32) % 30);
+      raw.insert(raw.end(), phrase.begin(), phrase.begin() + len);
+    }
+  }
+  const auto blob = lossless::compress(raw);
+  ASSERT_LT(blob.size(), raw.size() / 2);  // entropy-coded, not stored
+  EXPECT_EQ(digest(blob), 0xaea0c1b0700fbf10ULL)
+      << std::hex << "got 0x" << digest(blob);
+  EXPECT_TRUE(lossless::decompress(blob) == raw);
+}
+
+TEST(Huffman, EncodeRejectsCodeOutsideAlphabet) {
+  // A code >= hist.size() has no codebook entry; it must be rejected, not
+  // read past the length table.
+  std::vector<u16> codes(3 * huffman_chunk, 3);
+  const auto hist = histogram_of(codes, 16);
+  codes[2 * huffman_chunk + 9] = 16;
+  try {
+    (void)huffman_encode(codes, hist);
+    FAIL() << "out-of-alphabet code accepted";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::invalid_argument);
+  }
+}
+
+TEST(Huffman, EncodeRejectsCodeWithZeroFrequency) {
+  std::vector<u16> codes(1000, 3);
+  const auto hist = histogram_of(codes, 16);
+  codes[500] = 9;  // in the alphabet, but absent from the histogram
+  EXPECT_THROW((void)huffman_encode(codes, hist), error);
 }
 
 class HuffmanSizeSweep : public ::testing::TestWithParam<std::size_t> {};
