@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the kernel primitives every
 // pipeline stage is built from: histogram, scan, bitshuffle, Lorenzo,
-// Huffman, the LZ secondary codec. These are the per-stage numbers that
+// the spline interpolator, Huffman, the LZ secondary codec. These are the per-stage numbers that
 // explain the end-to-end Figure 1 ordering.
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "fzmod/common/rng.hh"
+#include "fzmod/data/datasets.hh"
 #include "fzmod/encoders/fixed_length.hh"
 #include "fzmod/encoders/fzg.hh"
 #include "fzmod/encoders/huffman.hh"
@@ -15,6 +16,7 @@
 #include "fzmod/kernels/histogram.hh"
 #include "fzmod/kernels/scan.hh"
 #include "fzmod/lossless/lz.hh"
+#include "fzmod/predictors/interp.hh"
 #include "fzmod/predictors/lorenzo.hh"
 
 namespace {
@@ -131,6 +133,56 @@ void BM_LorenzoCompress3D(benchmark::State& state) {
                           static_cast<i64>(d.len() * 4));
 }
 BENCHMARK(BM_LorenzoCompress3D)->UseRealTime();
+
+/// One streaming chunk of the FZMod-Quality archive workload: the first
+/// 128x128x32 slab of Nyx field 0 (2 MiB of f32) at a 1e-4 relative bound.
+struct spline_chunk {
+  dims3 d{128, 128, 32};
+  device::buffer<f32> dev{d.len(), device::space::device};
+  f64 ebx2 = 0;
+
+  spline_chunk() {
+    const auto field = data::generate(data::describe(data::dataset_id::nyx), 0);
+    std::memcpy(dev.data(), field.data(), dev.bytes());
+    const auto [lo, hi] = std::minmax_element(dev.data(), dev.data() + d.len());
+    ebx2 = 2e-4 * static_cast<f64>(*hi - *lo);
+  }
+};
+
+// Steady state, as a pipeline runs it: the quant_field (and with it the
+// predictor's reconstruction scratch) is reused across iterations.
+void BM_SplineCompress(benchmark::State& state) {
+  const spline_chunk c;
+  predictors::quant_field field;
+  predictors::interp_anchors anchors;
+  device::stream s;
+  for (auto _ : state) {
+    predictors::interp_compress_async(c.dev, c.d, c.ebx2, 512, field,
+                                      anchors, s);
+    s.sync();
+  }
+  state.counters["outliers"] = static_cast<f64>(field.n_outliers);
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(c.dev.bytes()));
+}
+BENCHMARK(BM_SplineCompress)->UseRealTime();
+
+void BM_SplineDecompress(benchmark::State& state) {
+  const spline_chunk c;
+  predictors::quant_field field;
+  predictors::interp_anchors anchors;
+  device::stream s;
+  predictors::interp_compress_async(c.dev, c.d, c.ebx2, 512, field, anchors,
+                                    s);
+  device::buffer<f32> out(c.d.len(), device::space::device);
+  for (auto _ : state) {
+    predictors::interp_decompress_async(field, anchors, out, s);
+    s.sync();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(c.dev.bytes()));
+}
+BENCHMARK(BM_SplineDecompress)->UseRealTime();
 
 void BM_HuffmanEncode(benchmark::State& state) {
   const auto codes = make_codes(1 << 20, 4.0);

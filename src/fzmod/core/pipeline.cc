@@ -233,11 +233,28 @@ std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
   // order; sort so archives are byte-deterministic.
   std::sort(field.value_outliers.begin(), field.value_outliers.end());
 
+  // The inner body is assembled once, in place: straight behind the outer
+  // header when it is stored as is, or in its own buffer when it is the
+  // secondary encoder's input (the LZ blob then lands behind the header).
+  fmt::outer_header_v2 outer{fmt::outer_magic_v2,
+                             static_cast<u8>(cfg_.secondary ? 1 : 0),
+                             {},
+                             0};
   const u64 vo_bytes = hdr.n_value_outliers * sizeof(vo_record);
   const u64 anchor_bytes = hdr.n_anchors * sizeof(i32);
-  std::vector<u8> inner(sizeof(hdr) + codec_blob.size() +
-                        packed_outliers.size() + vo_bytes + anchor_bytes +
-                        spec_section_.size());
+  const std::size_t inner_size = sizeof(hdr) + codec_blob.size() +
+                                 packed_outliers.size() + vo_bytes +
+                                 anchor_bytes + spec_section_.size();
+  std::vector<u8> archive;
+  std::vector<u8> lz_input;
+  if (cfg_.secondary) {
+    lz_input.resize(inner_size);
+  } else {
+    archive.resize(sizeof(outer) + inner_size);
+  }
+  const std::span<u8> inner =
+      cfg_.secondary ? std::span<u8>(lz_input)
+                     : std::span<u8>(archive).subspan(sizeof(outer));
   u8* p = inner.data() + sizeof(hdr);  // header lands last (after digests)
   std::memcpy(p, codec_blob.data(), codec_blob.size());
   p += codec_blob.size();
@@ -283,32 +300,22 @@ std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
   // outer header seals a whole-body digest over the stored LZ blob so the
   // decode side can verify before LZ-parsing it.
   sw.reset();
-  fmt::outer_header_v2 outer{fmt::outer_magic_v2,
-                             static_cast<u8>(cfg_.secondary ? 1 : 0),
-                             {},
-                             0};
-  std::vector<u8> archive;
   if (cfg_.secondary) {
-    std::vector<u8> packed = lossless::compress(inner);
-    const f64 lz_s = sw.seconds();
+    archive.resize(sizeof(outer));
+    lossless::compress_into(lz_input, archive);
+    compress_timings_.secondary = sw.seconds();
     sw.reset();
-    outer.body_digest = fmt::seal_digest(kernels::chunked_hash(packed), 1);
+    outer.body_digest = fmt::seal_digest(
+        kernels::chunked_hash(std::span<const u8>(archive).subspan(
+            sizeof(outer))),
+        1);
     compress_timings_.verify += sw.seconds();
     trace_stage("verify", sw.seconds());
-    sw.reset();
-    archive.resize(sizeof(outer) + packed.size());
-    std::memcpy(archive.data(), &outer, sizeof(outer));
-    std::memcpy(archive.data() + sizeof(outer), packed.data(),
-                packed.size());
-    compress_timings_.secondary = lz_s + sw.seconds();
-    trace_stage("secondary", compress_timings_.secondary);
   } else {
-    archive.resize(sizeof(outer) + inner.size());
-    std::memcpy(archive.data(), &outer, sizeof(outer));
-    std::memcpy(archive.data() + sizeof(outer), inner.data(), inner.size());
     compress_timings_.secondary = sw.seconds();
-    trace_stage("secondary", compress_timings_.secondary);
   }
+  std::memcpy(archive.data(), &outer, sizeof(outer));
+  trace_stage("secondary", compress_timings_.secondary);
   device::sample_trace_counters();
   return archive;
 }

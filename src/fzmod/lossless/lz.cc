@@ -142,7 +142,7 @@ void lz_expand_segment(const u8*& p, const u8* end, u8* dst,
 
 }  // namespace
 
-std::vector<u8> compress(std::span<const u8> raw) {
+void compress_into(std::span<const u8> raw, std::vector<u8>& out) {
   const std::size_t nseg =
       raw.empty() ? 0 : (raw.size() - 1) / segment_size + 1;
   std::vector<std::vector<u8>> seg_tokens(nseg);
@@ -180,22 +180,28 @@ std::vector<u8> compress(std::span<const u8> raw) {
              static_cast<u32>(nseg), 0};
   const std::size_t framed = sizeof(hdr) + (nseg + 1) * sizeof(u64) +
                              entropy.size();
+  const std::size_t at = out.size();
   if (framed >= raw.size() + sizeof(hdr)) {
     // Stored mode: entropy coding did not pay off.
     hdr.mode = 1;
-    std::vector<u8> blob(sizeof(hdr) + raw.size());
-    std::memcpy(blob.data(), &hdr, sizeof(hdr));
+    out.resize(at + sizeof(hdr) + raw.size());
+    std::memcpy(out.data() + at, &hdr, sizeof(hdr));
     // std::copy, not memcpy: an empty input's data() may be null.
-    std::copy(raw.begin(), raw.end(), blob.begin() + sizeof(hdr));
-    return blob;
+    std::copy(raw.begin(), raw.end(), out.begin() + at + sizeof(hdr));
+    return;
   }
-  std::vector<u8> blob(framed);
-  u8* p = blob.data();
+  out.resize(at + framed);
+  u8* p = out.data() + at;
   std::memcpy(p, &hdr, sizeof(hdr));
   p += sizeof(hdr);
   std::memcpy(p, seg_offsets.data(), (nseg + 1) * sizeof(u64));
   p += (nseg + 1) * sizeof(u64);
   std::memcpy(p, entropy.data(), entropy.size());
+}
+
+std::vector<u8> compress(std::span<const u8> raw) {
+  std::vector<u8> blob;
+  compress_into(raw, blob);
   return blob;
 }
 

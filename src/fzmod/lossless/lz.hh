@@ -22,6 +22,10 @@ namespace fzmod::lossless {
 /// expansion bounded by ~0.1% + 64 bytes).
 [[nodiscard]] std::vector<u8> compress(std::span<const u8> raw);
 
+/// compress(), appending the blob to `out` (which may already hold, say,
+/// an outer archive header) instead of returning a fresh vector.
+void compress_into(std::span<const u8> raw, std::vector<u8>& out);
+
 /// Decompress a blob produced by compress(). Throws on corruption.
 [[nodiscard]] std::vector<u8> decompress(std::span<const u8> blob);
 

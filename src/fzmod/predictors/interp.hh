@@ -13,8 +13,21 @@
 // previous sub-step, which is what makes the GPU parallelization of
 // cuSZ-i possible — and what our kernel launches exploit.
 //
-// Compared to Lorenzo this predictor is slower (multiple passes, gather
-// patterns) but markedly more accurate, which is exactly the trade
+// Traversal: one shared row sweep serves both directions. Each sub-step is
+// one launch over rows along x (the contiguous axis) on the lattice of the
+// two outer axes, long rows cut into segments for the pool. Along a row
+// the stencil offsets are constant: when y or z is refined the whole row
+// takes one stencil (cubic, linear at the edge, nearest past it); when x is
+// refined only the first point and the last one or two take the fallback,
+// and the interior loop is the inlined cubic stencil with no bounds test.
+// Rounding is `round_to_i64` (one cvtsd2si). The f64 reconstruction lives
+// in `quant_field::recon_scratch` and is reused across calls; every point
+// is written exactly once, so nothing is cleared. Decode resolves sentinel
+// codes through a sorted side table and stores each output value as its
+// point is reconstructed.
+//
+// Compared to Lorenzo this predictor is slower (multiple passes over
+// strided lattices) but markedly more accurate, which is exactly the trade
 // FZMod-Quality makes (paper §3.3).
 #pragma once
 

@@ -46,6 +46,10 @@ struct quant_field {
   // zero steady-state allocations; callers never read it. Like `codes`,
   // it is only valid once the stream that filled it has been synced.
   device::buffer<i32> lattice_scratch;
+  // The spline predictor's f64 reconstruction, same contract. Mutable
+  // because decompression receives the field read-only; the predictor
+  // owns its contents in both directions.
+  mutable device::buffer<f64> recon_scratch;
 };
 
 }  // namespace fzmod::predictors

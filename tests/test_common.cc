@@ -2,6 +2,7 @@
 // strict environment-variable parsing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "fzmod/common/env.hh"
 #include "fzmod/common/error.hh"
 #include "fzmod/common/rng.hh"
+#include "fzmod/common/round.hh"
 #include "fzmod/common/types.hh"
 
 namespace fzmod {
@@ -217,6 +219,24 @@ TEST(Rng, NormalMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sq / n, 1.0, 0.03);
+}
+
+TEST(Round, MatchesLlrintBitForBit) {
+  // Ties (halfway cases round to even), signed zero, the i32 edges the
+  // quantizers clamp near, and the largest doubles that still carry a
+  // fraction bit.
+  const f64 p31 = 0x1.0p31, p52 = 0x1.0p52;
+  const f64 cases[] = {0.5,       -0.5,       1.5,        -1.5,
+                       2.5,       -2.5,       -0.0,       0.0,
+                       p31 + 0.5, p31 - 0.5,  -p31 + 0.5, -p31 - 0.5,
+                       p52 + 0.5, p52 - 0.5,  -p52 + 0.5, -p52 - 0.5,
+                       0.49999999999999994,   -1e300,     1e300};
+  for (const f64 v : cases) {
+    EXPECT_EQ(round_to_i64(v), static_cast<i64>(std::llrint(v))) << v;
+  }
+  EXPECT_EQ(round_to_i64(0.5), 0);
+  EXPECT_EQ(round_to_i64(1.5), 2);
+  EXPECT_EQ(round_to_i64(-2.5), -2);
 }
 
 }  // namespace

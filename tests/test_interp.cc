@@ -1,13 +1,18 @@
 // Unit + property tests: multi-level interpolation (G-Interp) predictor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
+#include "fzmod/common/hash.hh"
 #include "fzmod/common/rng.hh"
+#include "fzmod/core/pipeline.hh"
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/predictors/interp.hh"
 #include "fzmod/predictors/lorenzo.hh"
+#include "fzmod/spec/spec.hh"
 
 namespace fzmod::predictors {
 namespace {
@@ -156,6 +161,29 @@ TEST(Interp, HugeMagnitudesGoThroughValueOutlierChannel) {
   EXPECT_NEAR(rt.rec[36], 1.0f, eb * 2);
 }
 
+TEST(Interp, SideChannelPrecedenceOnDecode) {
+  // A raw value outlier beats a lattice fallback at the same index, and an
+  // anchor ignores a fallback entry aimed at it (hostile-archive shapes).
+  std::vector<f32> v(100, 1.0f);
+  v[37] = 4.2e30f;
+  const f64 eb = 1e-4;
+  auto rt = roundtrip(v, dims3(v.size()), eb);
+  quant_field& f = rt.field;
+  const u64 n = f.n_outliers;
+  device::buffer<kernels::outlier> more(n + 2, device::space::device);
+  std::copy(f.outliers.data(), f.outliers.data() + n, more.data());
+  more.data()[n] = {37, 5};
+  more.data()[n + 1] = {0, 9};  // index 0 is an anchor
+  f.outliers = std::move(more);
+  f.n_outliers = n + 2;
+  device::buffer<f32> rec(v.size(), device::space::device);
+  device::stream s;
+  interp_decompress_async(f, rt.anchors, rec, s);
+  s.sync();
+  EXPECT_EQ(rec.data()[37], 4.2e30f);
+  EXPECT_NEAR(rec.data()[0], 1.0f, eb * 2);
+}
+
 TEST(Interp, RoughDataBoundStillHolds) {
   rng r(21);
   const dims3 d{64, 64, 16};
@@ -221,6 +249,150 @@ TEST(Interp, HigherAccuracyThanLorenzoOnSmoothData) {
     return mass;
   };
   EXPECT_LT(residual_mass(rt.field), residual_mass(lz));
+}
+
+// ---- byte identity ---------------------------------------------------------
+//
+// Golden xxhash64 digests of everything the predictor emits (codes, the
+// index-sorted outlier and value-outlier lists, anchors) followed by the
+// reconstructed field. Archives embed these bytes, so a traversal rewrite
+// must reproduce them exactly. Inputs are built from integer draws and
+// correctly rounded + - * only, so they are identical on every platform.
+
+enum class golden_field { smooth, rough, huge };
+
+template <class T>
+std::vector<T> golden_input(dims3 d, golden_field kind, u64 seed) {
+  rng r(seed);
+  std::vector<T> v(d.len());
+  for (std::size_t z = 0; z < d.z; ++z) {
+    for (std::size_t y = 0; y < d.y; ++y) {
+      for (std::size_t x = 0; x < d.x; ++x) {
+        const f64 fx = static_cast<f64>(x), fy = static_cast<f64>(y),
+                  fz = static_cast<f64>(z);
+        const f64 noise = static_cast<f64>(r.next_u64() >> 44) * 0x1.0p-20;
+        f64 val = 0.5 * fx - 0.002 * fx * fx + 0.25 * fy - 0.01 * fy * fz +
+                  0.125 * fz + 0.003 * noise;
+        if (kind == golden_field::rough) val = 200.0 * noise - 100.0;
+        v[d.at(x, y, z)] = static_cast<T>(val);
+      }
+    }
+  }
+  if (kind == golden_field::huge) {
+    // |x / ebx2| >= 2^27 at index 0 (an anchor) and every 97th point.
+    for (std::size_t i = 0; i < v.size(); i += 97) {
+      v[i] = static_cast<T>((i % 2 ? -3.0e9 : 3.0e9) + static_cast<f64>(i));
+    }
+  }
+  return v;
+}
+
+void append_bytes(std::vector<u8>& out, const void* p, std::size_t n) {
+  const auto* b = static_cast<const u8*>(p);
+  out.insert(out.end(), b, b + n);
+}
+
+template <class T>
+u64 golden_digest(dims3 d, golden_field kind, f64 eb) {
+  const auto v = golden_input<T>(d, kind, 90 + d.len());
+  auto dev = to_device(v);
+  quant_field field;
+  interp_anchors anchors;
+  device::stream s;
+  interp_compress_async(dev, d, 2 * eb, default_radius, field, anchors, s);
+  s.sync();
+  device::buffer<T> rec(d.len(), device::space::device);
+  interp_decompress_async(field, anchors, rec, s);
+  s.sync();
+
+  // Side channels are collected from concurrent workers: sort them, as
+  // the archive writer does, before hashing.
+  std::vector<kernels::outlier> outliers(
+      field.outliers.data(), field.outliers.data() + field.n_outliers);
+  std::sort(outliers.begin(), outliers.end(),
+            [](const auto& a, const auto& b) { return a.index < b.index; });
+  auto vo = field.value_outliers;
+  std::sort(vo.begin(), vo.end());
+
+  std::vector<u8> bytes;
+  append_bytes(bytes, field.codes.data(), field.codes.bytes());
+  for (const auto& o : outliers) {
+    append_bytes(bytes, &o.index, sizeof(o.index));
+    append_bytes(bytes, &o.value, sizeof(o.value));
+  }
+  for (const auto& [idx, val] : vo) {
+    append_bytes(bytes, &idx, sizeof(idx));
+    append_bytes(bytes, &val, sizeof(val));
+  }
+  append_bytes(bytes, anchors.lattice.data(),
+               anchors.lattice.size() * sizeof(i32));
+  append_bytes(bytes, rec.data(), rec.bytes());
+  if (kind == golden_field::rough) {
+    EXPECT_GT(field.n_outliers, 0u);
+  } else if (kind == golden_field::huge) {
+    EXPECT_FALSE(field.value_outliers.empty());
+  }
+  return common::xxhash64(bytes.data(), bytes.size());
+}
+
+struct golden_case {
+  dims3 dims;
+  golden_field kind;
+  f64 eb;
+  u64 want_f32;
+  u64 want_f64;
+};
+
+TEST(InterpGolden, PredictorOutputsAndReconstruction) {
+  const golden_case cases[] = {
+      {dims3(1), golden_field::smooth, 1e-3, 0x246b3c5abbeacb62ULL,
+       0x3ad0356546aa1edeULL},
+      {dims3(7), golden_field::smooth, 1e-3, 0x31b44c5886ab9d70ULL,
+       0x17b1f435443a8609ULL},
+      {dims3(65, 3), golden_field::smooth, 1e-3, 0xc92af3301240231cULL,
+       0x7dec177dc72c789cULL},
+      {dims3(130, 67, 9), golden_field::smooth, 1e-3, 0x25eb527ffe51845cULL,
+       0x0c883c9d2c163f80ULL},
+      {dims3(128, 128, 32), golden_field::smooth, 1e-3,
+       0xd60fe31409bb4260ULL, 0x9cf0539021b84089ULL},
+      {dims3(65, 3), golden_field::rough, 1e-2, 0x75c3917bcaabd90dULL,
+       0x6594f12cb3c05887ULL},
+      {dims3(130, 67, 9), golden_field::rough, 1e-2, 0x363cb0c59498f1a4ULL,
+       0x84dee01688eec302ULL},
+      {dims3(7), golden_field::huge, 1e-3, 0x9b88f90d0fb9e481ULL,
+       0x36b5dfa246f1ad52ULL},
+      {dims3(130, 67, 9), golden_field::huge, 1e-3, 0x2042a4787701b996ULL,
+       0x461d9f52ac41e9ecULL},
+  };
+  for (const auto& c : cases) {
+    const u64 got32 = golden_digest<f32>(c.dims, c.kind, c.eb);
+    const u64 got64 = golden_digest<f64>(c.dims, c.kind, c.eb);
+    EXPECT_EQ(got32, c.want_f32)
+        << std::hex << "f32 got 0x" << got32 << std::dec << " dims "
+        << c.dims.x << "x" << c.dims.y << "x" << c.dims.z << " kind "
+        << static_cast<int>(c.kind);
+    EXPECT_EQ(got64, c.want_f64)
+        << std::hex << "f64 got 0x" << got64 << std::dec << " dims "
+        << c.dims.x << "x" << c.dims.y << "x" << c.dims.z << " kind "
+        << static_cast<int>(c.kind);
+  }
+}
+
+TEST(InterpGolden, QualityPipelineArchive) {
+  // The stream-archive spec, whole: value-range preprocess, spline,
+  // top-k Huffman, LZ secondary.
+  const dims3 d{128, 128, 32};
+  const auto v = golden_input<f32>(d, golden_field::smooth, 93);
+  const core::pipeline_config cfg = spec::to_config(
+      spec::parse("value-range+spline+huffman(hist=topk)+lz"),
+      eb_config{1e-4, eb_mode::rel});
+  core::pipeline<f32> p(cfg);
+  const auto archive = p.compress(std::span<const f32>(v), d);
+  const auto rec = p.decompress(archive);
+  const u64 got_archive = common::xxhash64(archive.data(), archive.size());
+  const u64 got_rec = common::xxhash64(rec.data(), rec.size() * sizeof(f32));
+  EXPECT_EQ(got_archive, 0x4f45ee7bd2227f55ULL) << std::hex << "got 0x" << got_archive;
+  EXPECT_EQ(got_rec, 0x735c545baffa7f3bULL) << std::hex << "got 0x" << got_rec;
 }
 
 }  // namespace
