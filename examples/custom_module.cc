@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 
-#include "fzmod/common/round.hh"
 #include "fzmod/core/pipeline.hh"
 #include "fzmod/core/registry.hh"
 #include "fzmod/metrics/metrics.hh"
@@ -62,7 +61,7 @@ class poly2_predictor final : public core::predictor_module<f32> {
                 vo->emplace_back(i, static_cast<f64>(in[i]));
                 qp[i] = 0;
               } else {
-                qp[i] = round_to_i64(scaled);
+                qp[i] = std::llrint(scaled);
               }
             }
           });

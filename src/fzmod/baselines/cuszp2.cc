@@ -12,7 +12,6 @@
 #include "fzmod/baselines/compressor.hh"
 #include "fzmod/common/bits.hh"
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 #include "fzmod/core/archive_format.hh"
 #include "fzmod/device/runtime.hh"
 #include "fzmod/kernels/chunked_hash.hh"
@@ -110,11 +109,11 @@ class cuszp2 final : public compressor {
             bool overflow = false;
             for (std::size_t i = lo; i < hi; ++i) {
               const f64 scaled = static_cast<f64>(in[i]) * r_ebx2;
-              if (!(std::fabs(scaled) < 9.0e15)) {  // exact-rounding range
+              if (!(std::fabs(scaled) < 9.0e15)) {  // llrint-safe range
                 overflow = true;
                 break;
               }
-              q[i - lo] = round_to_i64(scaled);
+              q[i - lo] = std::llrint(scaled);
             }
             if (overflow) {
               bptr[b] = {raw_block_width, 0, 0};

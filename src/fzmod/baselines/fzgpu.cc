@@ -14,7 +14,6 @@
 #include "fzmod/baselines/compressor.hh"
 #include "fzmod/common/bits.hh"
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 #include "fzmod/core/archive_format.hh"
 #include "fzmod/device/runtime.hh"
 #include "fzmod/encoders/fzg.hh"
@@ -97,7 +96,7 @@ class fzgpu final : public compressor {
                 vo->push_back({i, static_cast<f64>(in[i])});
                 q[i] = 0;
               } else {
-                q[i] = static_cast<i32>(round_to_i64(scaled));
+                q[i] = static_cast<i32>(std::llrint(scaled));
               }
             }
           });

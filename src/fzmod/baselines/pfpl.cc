@@ -18,7 +18,6 @@
 #include "fzmod/baselines/compressor.hh"
 #include "fzmod/common/bits.hh"
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 #include "fzmod/core/archive_format.hh"
 #include "fzmod/device/runtime.hh"
 #include "fzmod/kernels/chunked_hash.hh"
@@ -145,7 +144,7 @@ class pfpl final : public compressor {
           i64 q = 0;
           bool ok = std::fabs(scaled) < static_cast<f64>(q_limit);
           if (ok) {
-            q = round_to_i64(scaled);
+            q = std::llrint(scaled);
             // The guarantee check: reconstruction must honour the bound
             // in f32 arithmetic, since that is what the consumer reads.
             const f32 rec =

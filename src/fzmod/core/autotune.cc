@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 
 namespace fzmod::core {
 namespace {
@@ -47,7 +46,7 @@ autotune_report autotune(std::span<const f32> data, dims3 dims,
     const f64 a = static_cast<f64>(data[i - 1]) * r_ebx2;
     const f64 b = static_cast<f64>(data[i]) * r_ebx2;
     if (!(std::fabs(a) < 9e15 && std::fabs(b) < 9e15)) continue;
-    const i64 delta = round_to_i64(b) - round_to_i64(a);
+    const i64 delta = std::llrint(b) - std::llrint(a);
     ++samples;
     within_radius += (delta > -radius && delta < radius);
     zeros += (delta == 0);

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 #include "fzmod/core/archive_format.hh"
 #include "fzmod/encoders/huffman.hh"
 #include "fzmod/kernels/histogram.hh"
@@ -78,7 +77,7 @@ std::vector<u8> stf_compress(std::span<const f32> data, dims3 dims,
                       {i, static_cast<f64>(ip[i])});
                   qp[i] = 0;
                 } else {
-                  qp[i] = static_cast<i32>(round_to_i64(scaled));
+                  qp[i] = static_cast<i32>(std::llrint(scaled));
                 }
               }
             });

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "fzmod/common/error.hh"
-#include "fzmod/common/round.hh"
 
 namespace fzmod::predictors {
 
@@ -44,7 +43,7 @@ void delta_compress_async(const device::buffer<T>& data, dims3 dims,
               vo->emplace_back(i, static_cast<f64>(in[i]));
               qp[i] = 0;
             } else {
-              qp[i] = static_cast<i32>(round_to_i64(scaled));
+              qp[i] = static_cast<i32>(std::llrint(scaled));
             }
           }
         });

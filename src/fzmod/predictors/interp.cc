@@ -7,8 +7,6 @@
 #include <mutex>
 #include <vector>
 
-#include "fzmod/common/round.hh"
-
 namespace fzmod::predictors {
 namespace {
 
@@ -228,7 +226,7 @@ void interp_compress_async(const device::buffer<T>& data, dims3 dims,
         rec[idx] = x;
         anchors.lattice.push_back(0);
       } else {
-        const i64 q = round_to_i64(scaled);
+        const i64 q = std::llrint(scaled);
         rec[idx] = static_cast<f64>(q) * ebx2;
         anchors.lattice.push_back(static_cast<i32>(q));
       }
@@ -249,13 +247,13 @@ void interp_compress_async(const device::buffer<T>& data, dims3 dims,
         out.value_outliers.emplace_back(idx, x);
         return;
       }
-      const i64 c = round_to_i64((x - pred) * r_ebx2);
+      const i64 c = std::llrint((x - pred) * r_ebx2);
       if (c > -radius && c < radius) {
         codes[idx] = static_cast<u16>(c + radius);
         rec[idx] = pred + static_cast<f64>(c) * ebx2;
       } else {
         // Prediction failed: fall back to lattice-exact storage.
-        const i64 q = round_to_i64(scaled);
+        const i64 q = std::llrint(scaled);
         codes[idx] = 0;
         rec[idx] = static_cast<f64>(q) * ebx2;
         std::lock_guard lk(side_mu);
@@ -281,6 +279,12 @@ void interp_decompress_async(const quant_field& field,
                 "interp: output size does not match dims");
   FZMOD_REQUIRE(field.ebx2 > 0, status::corrupt_archive,
                 "interp: archive has non-positive error bound");
+  // The traversal refines from the fixed stride down; under any other
+  // stride some points would be neither anchors nor targets and decode
+  // would hand back whatever the retained scratch last held.
+  FZMOD_REQUIRE(anchors.stride == interp_anchor_stride,
+                status::corrupt_archive,
+                "interp: unsupported anchor stride");
 
   field.recon_scratch.ensure(n, device::space::device);
   T* outp = data.data();
@@ -314,11 +318,7 @@ void interp_decompress_async(const quant_field& field,
                        return a.index < b.index;
                      });
 
-    // Anchors. A zero stride would pin the lattice walk in place; the
-    // drivers validate anchor geometry against the header, this guard is
-    // for direct (non-archive) callers.
-    FZMOD_REQUIRE(anchors.stride >= 1, status::corrupt_archive,
-                  "interp: zero anchor stride");
+    // Anchors; a raw value outlier at an anchor overrides its lattice value.
     std::size_t a = 0;
     for_each_anchor(dims, anchors.stride, [&](std::size_t idx) {
       FZMOD_REQUIRE(a < anchors.lattice.size(), status::corrupt_archive,

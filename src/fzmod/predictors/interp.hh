@@ -20,11 +20,13 @@
 // takes one stencil (cubic, linear at the edge, nearest past it); when x is
 // refined only the first point and the last one or two take the fallback,
 // and the interior loop is the inlined cubic stencil with no bounds test.
-// Rounding is `round_to_i64` (one cvtsd2si). The f64 reconstruction lives
-// in `quant_field::recon_scratch` and is reused across calls; every point
-// is written exactly once, so nothing is cleared. Decode resolves sentinel
-// codes through a sorted side table and stores each output value as its
-// point is reconstructed.
+// Rounding is std::llrint, which the library's -fno-math-errno inlines to
+// one cvtsd2si. The f64 reconstruction lives in
+// `quant_field::recon_scratch` and is reused across calls; every point is
+// written exactly once, so nothing is cleared. Only the fixed anchor
+// stride guarantees that, so decode rejects any other. Decode resolves
+// sentinel codes through a sorted side table and stores each output value
+// as its point is reconstructed.
 //
 // Compared to Lorenzo this predictor is slower (multiple passes over
 // strided lattices) but markedly more accurate, which is exactly the trade
@@ -51,6 +53,9 @@ void interp_compress_async(const device::buffer<T>& data, dims3 dims,
                            f64 ebx2, int radius, quant_field& out,
                            interp_anchors& anchors, device::stream& s);
 
+/// Decoding writes `field.recon_scratch` although `field` is const, so it
+/// is not reentrant on one field: two decodes of the same quant_field at
+/// once race on that scratch. Give each concurrent decode its own field.
 template <class T>
 void interp_decompress_async(const quant_field& field,
                              const interp_anchors& anchors,

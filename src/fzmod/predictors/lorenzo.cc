@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "fzmod/common/round.hh"
 #include "fzmod/kernels/scan.hh"
 
 namespace fzmod::predictors {
@@ -90,7 +89,7 @@ void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
                 !(std::fabs(scaled) < static_cast<f64>(value_outlier_limit));
             idx[cnt] = i;
             cnt += oob;
-            q[i] = oob ? 0 : static_cast<i32>(round_to_i64(scaled));
+            q[i] = oob ? 0 : static_cast<i32>(std::llrint(scaled));
           }
           if (cnt) {
             std::lock_guard lk(*vo_mu);
@@ -116,7 +115,7 @@ void lorenzo_compress_async(const device::buffer<T>& data, dims3 dims,
               local.emplace_back(i, static_cast<f64>(in[i]));
               q[i] = 0;
             } else {
-              q[i] = static_cast<i32>(round_to_i64(scaled));
+              q[i] = static_cast<i32>(std::llrint(scaled));
             }
           }
           if (!local.empty()) {

@@ -48,7 +48,8 @@ struct quant_field {
   device::buffer<i32> lattice_scratch;
   // The spline predictor's f64 reconstruction, same contract. Mutable
   // because decompression receives the field read-only; the predictor
-  // owns its contents in both directions.
+  // owns its contents in both directions. So a const quant_field is not
+  // safe to decode from two threads at once: they share this scratch.
   mutable device::buffer<f64> recon_scratch;
 };
 

@@ -10,7 +10,6 @@
 #include "fzmod/common/env.hh"
 #include "fzmod/common/error.hh"
 #include "fzmod/common/rng.hh"
-#include "fzmod/common/round.hh"
 #include "fzmod/common/types.hh"
 
 namespace fzmod {
@@ -221,10 +220,13 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.03);
 }
 
-TEST(Round, MatchesLlrintBitForBit) {
-  // Ties (halfway cases round to even), signed zero, the i32 edges the
-  // quantizers clamp near, and the largest doubles that still carry a
-  // fraction bit.
+TEST(Round, InlineLlrintMatchesLibm) {
+  // The build compiles with -fno-math-errno, so std::llrint is one inline
+  // cvtsd2si on x86-64. Calling libm's llrint through a volatile pointer
+  // keeps the out-of-line version to compare against. Cases: ties (round
+  // half to even), signed zero, the i32 edges the quantizers clamp near,
+  // the largest doubles that still carry a fraction bit, out of range.
+  long long (*volatile libm_llrint)(double) = &::llrint;
   const f64 p31 = 0x1.0p31, p52 = 0x1.0p52;
   const f64 cases[] = {0.5,       -0.5,       1.5,        -1.5,
                        2.5,       -2.5,       -0.0,       0.0,
@@ -232,11 +234,11 @@ TEST(Round, MatchesLlrintBitForBit) {
                        p52 + 0.5, p52 - 0.5,  -p52 + 0.5, -p52 - 0.5,
                        0.49999999999999994,   -1e300,     1e300};
   for (const f64 v : cases) {
-    EXPECT_EQ(round_to_i64(v), static_cast<i64>(std::llrint(v))) << v;
+    EXPECT_EQ(std::llrint(v), libm_llrint(v)) << v;
   }
-  EXPECT_EQ(round_to_i64(0.5), 0);
-  EXPECT_EQ(round_to_i64(1.5), 2);
-  EXPECT_EQ(round_to_i64(-2.5), -2);
+  EXPECT_EQ(std::llrint(0.5), 0);
+  EXPECT_EQ(std::llrint(1.5), 2);
+  EXPECT_EQ(std::llrint(-2.5), -2);
 }
 
 }  // namespace

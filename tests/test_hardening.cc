@@ -136,6 +136,40 @@ TEST(Hardening, ZeroAnchorStrideRejected) {
   EXPECT_NO_THROW(core::fmt::validate_anchor_geometry(hdr, dims3{100}));
 }
 
+TEST(Hardening, ForeignAnchorStrideRejected) {
+  // Re-header a spline archive to anchor_stride 128 with the matching
+  // anchor count, so the geometry check passes. Under that stride the
+  // spline traversal (which refines from stride 64) would reach neither
+  // x = 64 nor x = 192, and decode would return unwritten memory there.
+  const verify_off off;
+  const dims3 d{256};
+  const auto v = field(d.len());
+  core::pipeline_config cfg;
+  cfg.predictor = core::predictor_spline;
+  core::pipeline<f32> p(cfg);
+  auto archive = p.compress(v, d);
+  core::fmt::inner_header hdr;
+  std::memcpy(&hdr, archive.data() + 16, sizeof(hdr));
+  ASSERT_EQ(hdr.anchor_stride, 64u);
+  ASSERT_EQ(hdr.n_anchors, 4u);
+  const std::size_t anchors_at =
+      16 + sizeof(hdr) + hdr.codec_bytes + hdr.outlier_bytes +
+      hdr.n_value_outliers * sizeof(core::fmt::vo_record);
+  // Keep two of the four stored anchors.
+  archive.erase(archive.begin() + static_cast<std::ptrdiff_t>(anchors_at + 8),
+                archive.begin() + static_cast<std::ptrdiff_t>(anchors_at + 16));
+  hdr.anchor_stride = 128;
+  hdr.n_anchors = 2;
+  std::memcpy(archive.data() + 16, &hdr, sizeof(hdr));
+  EXPECT_NO_THROW(core::fmt::validate_anchor_geometry(hdr, d));
+  try {
+    (void)p.decompress(archive);
+    FAIL() << "should have thrown";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive);
+  }
+}
+
 TEST(Hardening, HuffmanNonMonotonicOffsetsRejected) {
   std::vector<u16> codes(3 * encoders::huffman_chunk, 5);
   codes[1] = 6;

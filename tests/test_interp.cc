@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 
 #include "fzmod/common/hash.hh"
@@ -182,6 +183,62 @@ TEST(Interp, SideChannelPrecedenceOnDecode) {
   s.sync();
   EXPECT_EQ(rec.data()[37], 4.2e30f);
   EXPECT_NEAR(rec.data()[0], 1.0f, eb * 2);
+}
+
+TEST(Interp, EveryPointWrittenOverDirtyScratch) {
+  // Neither direction clears its retained buffers, so every point must be
+  // an anchor or a traversal target. Poison them; the results must still
+  // match a run on fresh buffers.
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  for (const dims3 d : {dims3{1}, dims3{7}, dims3{65, 3}, dims3{130, 67, 9},
+                        dims3{200, 1, 70}}) {
+    rng r(5);
+    std::vector<f32> v(d.len());
+    for (auto& x : v) x = static_cast<f32>(r.uniform(-1, 1));
+    const f64 eb = 1e-3;
+    const auto clean = roundtrip(v, d, eb);
+    const std::size_t n = d.len();
+
+    quant_field f;
+    interp_anchors a;
+    f.codes.ensure(n, device::space::device);
+    f.recon_scratch.ensure(n, device::space::device);
+    std::fill_n(f.codes.data(), n, u16{0xffff});
+    std::fill_n(f.recon_scratch.data(), n, f64{nan});
+    auto dev = to_device(v);
+    device::stream s;
+    interp_compress_async(dev, d, 2 * eb, default_radius, f, a, s);
+    s.sync();
+    EXPECT_TRUE(std::equal(f.codes.data(), f.codes.data() + n,
+                           clean.field.codes.data()))
+        << d.x << "x" << d.y << "x" << d.z;
+
+    std::fill_n(f.recon_scratch.data(), n, f64{nan});
+    device::buffer<f32> rec(n, device::space::device);
+    std::fill_n(rec.data(), n, nan);
+    interp_decompress_async(f, a, rec, s);
+    s.sync();
+    EXPECT_TRUE(std::equal(rec.data(), rec.data() + n, clean.rec.begin()))
+        << d.x << "x" << d.y << "x" << d.z;
+  }
+}
+
+TEST(Interp, ForeignAnchorStrideRejected) {
+  // The traversal refines from interp_anchor_stride; a stride-128 lattice
+  // on a 256-wide field leaves x = 64 and x = 192 unreached.
+  std::vector<f32> v(256, 1.0f);
+  auto rt = roundtrip(v, dims3(v.size()), 1e-3);
+  rt.anchors.stride = 128;
+  rt.anchors.lattice.resize(2);
+  device::buffer<f32> rec(v.size(), device::space::device);
+  device::stream s;
+  try {
+    interp_decompress_async(rt.field, rt.anchors, rec, s);
+    s.sync();
+    FAIL() << "should have thrown";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::corrupt_archive);
+  }
 }
 
 TEST(Interp, RoughDataBoundStillHolds) {
@@ -391,8 +448,10 @@ TEST(InterpGolden, QualityPipelineArchive) {
   const auto rec = p.decompress(archive);
   const u64 got_archive = common::xxhash64(archive.data(), archive.size());
   const u64 got_rec = common::xxhash64(rec.data(), rec.size() * sizeof(f32));
-  EXPECT_EQ(got_archive, 0x4f45ee7bd2227f55ULL) << std::hex << "got 0x" << got_archive;
-  EXPECT_EQ(got_rec, 0x735c545baffa7f3bULL) << std::hex << "got 0x" << got_rec;
+  EXPECT_EQ(got_archive, 0x4f45ee7bd2227f55ULL)
+      << std::hex << "got 0x" << got_archive;
+  EXPECT_EQ(got_rec, 0x735c545baffa7f3bULL)
+      << std::hex << "got 0x" << got_rec;
 }
 
 }  // namespace
