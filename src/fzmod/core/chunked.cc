@@ -219,6 +219,14 @@ chunked_info inspect_chunked(std::span<const u8> archive) {
   return info;
 }
 
+u64 decoded_len(std::span<const u8> archive) {
+  if (fmt::is_chunk_container(archive)) {
+    return fmt::parse_chunk_container(archive).dims.len();
+  }
+  fmt::verify_outer(fmt::parse_outer(archive));
+  return inspect_archive(archive).dims.len();
+}
+
 chunked_verify_report verify_chunked(std::span<const u8> archive) {
   chunked_verify_report rep;
   if (!fmt::is_chunk_container(archive)) {
@@ -499,16 +507,20 @@ void chunked_pipeline<T>::compress_stream(const source_fn& src, dims3 dims,
 }
 
 template <class T>
-std::vector<T> chunked_pipeline<T>::decompress(std::span<const u8> archive) {
+void chunked_pipeline<T>::decompress(std::span<const u8> archive,
+                                     std::span<T> out) {
   if (!fmt::is_chunk_container(archive)) {
     pipeline<T> pipe(cfg_);
-    return pipe.decompress(archive);
+    pipe.decompress(archive, out);
+    return;
   }
   const fmt::chunk_container_view cv = fmt::parse_chunk_container(archive);
   FZMOD_REQUIRE(cv.hdr.type == static_cast<u8>(dtype_of<T>()),
                 status::invalid_argument,
                 "chunk container holds a different dtype");
-  std::vector<T> out(cv.dims.len());
+  FZMOD_REQUIRE(out.size() == cv.dims.len(), status::invalid_argument,
+                "chunked decompress: output size does not match archive "
+                "dims");
   decode_chunks<T>(
       cv, cv.entries, cfg_, opt_.resolve_jobs(),
       [&](const fmt::chunk_dir_entry& e, device::buffer<T>& dev,
@@ -517,6 +529,12 @@ std::vector<T> chunked_pipeline<T>::decompress(std::span<const u8> archive) {
                              e.raw_len * sizeof(T), device::copy_kind::d2h,
                              s);
       });
+}
+
+template <class T>
+std::vector<T> chunked_pipeline<T>::decompress(std::span<const u8> archive) {
+  std::vector<T> out(decoded_len(archive));
+  decompress(archive, std::span<T>(out));
   return out;
 }
 

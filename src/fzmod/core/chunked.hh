@@ -124,6 +124,12 @@ struct chunked_info {
 
 [[nodiscard]] chunked_info inspect_chunked(std::span<const u8> archive);
 
+/// Element count a full decode of `archive` (any version) yields — the
+/// size of the span chunked_pipeline::decompress fills. A v1/v2 archive's
+/// sealed body digest is checked before its header is read, so a damaged
+/// LZ body never reaches the LZ parser.
+[[nodiscard]] u64 decoded_len(std::span<const u8> archive);
+
 /// Element-range validation shared by decompress_range and the seekable
 /// reader. Runs BEFORE any decode work: a malformed request must fail as
 /// invalid_argument with the numbers in the message — never cost a decode
@@ -225,8 +231,13 @@ class chunked_pipeline {
   void compress_stream(const source_fn& src, dims3 dims,
                        const sink_fn& sink, stream_progress progress);
 
-  /// Decompress any archive version: v3 containers decode chunk-parallel,
-  /// v1/v2 delegate to core::pipeline.
+  /// Decompress any archive version into caller-provided host memory of
+  /// exactly decoded_len(archive) elements (status::invalid_argument
+  /// otherwise): v3 containers decode chunk-parallel, each chunk's D2H
+  /// landing at its offset; v1/v2 delegate to core::pipeline.
+  void decompress(std::span<const u8> archive, std::span<T> out);
+
+  /// Convenience: archive in, host vector out (wraps the span overload).
   [[nodiscard]] std::vector<T> decompress(std::span<const u8> archive);
 
   /// Random access: decode only the chunks covering

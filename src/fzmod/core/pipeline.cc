@@ -18,6 +18,9 @@ namespace {
 /// multiple spans under the same name; the trace summary aggregates them.
 void trace_stage(std::string_view name, f64 secs) {
   if (!trace::enabled()) return;
+  // Sampled before the span's end so the summary charges this stage the
+  // faults up to here (each call also samples at entry).
+  trace::sample_minflt();
   const u64 end = trace::now_ns();
   const u64 dur = static_cast<u64>(secs * 1e9);
   trace::complete("pipeline", name, end - dur, dur);
@@ -160,6 +163,7 @@ std::vector<u8> pipeline<T>::compress(const device::buffer<T>& data,
   FZMOD_REQUIRE(data.size() == dims.len(), status::invalid_argument,
                 "pipeline: data size does not match dims");
   FZMOD_TRACE_SPAN("pipeline", "compress");
+  trace::sample_minflt();
   stopwatch sw;
 
   // Stage 1: preprocess — optional value transform, then bound
@@ -338,6 +342,7 @@ void pipeline<T>::decompress(std::span<const u8> archive,
                              device::buffer<T>& out, device::stream& s) {
   const detail::busy_scope in_call(busy_);
   FZMOD_TRACE_SPAN("pipeline", "decompress");
+  trace::sample_minflt();
   stopwatch sw;
   const fmt::outer_view ov = fmt::parse_outer(archive);
   fmt::verify_outer(ov);  // whole-body digest, before LZ parses the blob
@@ -442,19 +447,23 @@ void pipeline<T>::decompress(std::span<const u8> archive,
 }
 
 template <class T>
+void pipeline<T>::decompress(std::span<const u8> archive, std::span<T> out) {
+  device::buffer<T> dev(out.size(), device::space::device);
+  device::stream s;  // declared after dev: drains before dev frees
+  decompress(archive, dev, s);
+  device::memcpy_async(out.data(), dev.data(), dev.bytes(),
+                       device::copy_kind::d2h, s);
+  s.sync();
+}
+
+template <class T>
 std::vector<T> pipeline<T>::decompress(std::span<const u8> archive) {
   // inspect_archive is metadata-only and will LZ-parse a secondary body
   // to reach the inner header; check the sealed whole-body digest first
   // so a corrupted blob is rejected before any parser touches it.
   fmt::verify_outer(fmt::parse_outer(archive));
-  const archive_info info = inspect_archive(archive);
-  device::buffer<T> dev(info.dims.len(), device::space::device);
-  device::stream s;  // declared after dev: drains before dev frees
-  decompress(archive, dev, s);
-  std::vector<T> host(info.dims.len());
-  device::memcpy_async(host.data(), dev.data(), dev.bytes(),
-                       device::copy_kind::d2h, s);
-  s.sync();
+  std::vector<T> host(inspect_archive(archive).dims.len());
+  decompress(archive, std::span<T>(host));
   return host;
 }
 

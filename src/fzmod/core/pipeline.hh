@@ -147,7 +147,12 @@ class pipeline {
   void decompress(std::span<const u8> archive, device::buffer<T>& out,
                   device::stream& s);
 
-  /// Convenience: archive in, host vector out.
+  /// Decode into caller-provided host memory of exactly the archive's
+  /// element count (status::invalid_argument otherwise). Pays the D2H
+  /// transfer; nothing else touches `out`.
+  void decompress(std::span<const u8> archive, std::span<T> out);
+
+  /// Convenience: archive in, host vector out (wraps the span overload).
   [[nodiscard]] std::vector<T> decompress(std::span<const u8> archive);
 
   [[nodiscard]] const pipeline_config& config() const { return cfg_; }

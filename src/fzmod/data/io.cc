@@ -1,8 +1,8 @@
 #include "fzmod/data/io.hh"
 
-#include <cstring>
 #include <fstream>
 #include <span>
+#include <string>
 
 #include "fzmod/common/error.hh"
 
@@ -22,6 +22,22 @@ std::vector<u8> read_file(const std::string& path) {
   return bytes;
 }
 
+void read_into(const std::string& path, std::span<u8> dst) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  FZMOD_REQUIRE(f.good(), status::invalid_argument,
+                "cannot open file: " + path);
+  const auto size = static_cast<std::size_t>(f.tellg());
+  FZMOD_REQUIRE(size == dst.size(), status::invalid_argument,
+                "field size mismatch for " + path + ": " +
+                    std::to_string(size) + " bytes, expected " +
+                    std::to_string(dst.size()));
+  f.seekg(0);
+  f.read(reinterpret_cast<char*>(dst.data()),
+         static_cast<std::streamsize>(size));
+  FZMOD_REQUIRE(static_cast<std::size_t>(f.gcount()) == size,
+                status::invalid_argument, "short read: " + path);
+}
+
 void write_file(const std::string& path, std::span<const u8> bytes) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   FZMOD_REQUIRE(f.good(), status::invalid_argument,
@@ -33,12 +49,9 @@ void write_file(const std::string& path, std::span<const u8> bytes) {
 }
 
 std::vector<f32> load_f32_field(const std::string& path, dims3 dims) {
-  const std::vector<u8> bytes = read_file(path);
-  FZMOD_REQUIRE(bytes.size() == dims.len() * sizeof(f32),
-                status::invalid_argument,
-                "field size mismatch for " + path);
   std::vector<f32> values(dims.len());
-  std::memcpy(values.data(), bytes.data(), bytes.size());
+  read_into(path, {reinterpret_cast<u8*>(values.data()),
+                   values.size() * sizeof(f32)});
   return values;
 }
 

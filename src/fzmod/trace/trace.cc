@@ -11,6 +11,8 @@
 #include <memory>
 #include <mutex>
 
+#include <sys/resource.h>
+
 #include "fzmod/common/env.hh"
 
 namespace fzmod::trace {
@@ -176,6 +178,13 @@ void counter(std::string_view name, f64 value) {
   push_event(kind::counter, "counter", name, now_ns(), 0, 0, value);
 }
 
+void sample_minflt() {
+  if (!enabled()) return;
+  rusage ru{};
+  if (::getrusage(RUSAGE_SELF, &ru) != 0) return;
+  counter("process.minflt", static_cast<f64>(ru.ru_minflt));
+}
+
 void complete(std::string_view cat, std::string_view name, u64 begin_ns,
               u64 dur_ns, u32 stream_id, f64 value) {
   if (!enabled()) return;
@@ -322,6 +331,8 @@ summary compute_summary() {
   f64 last_pool_hits = -1, last_pool_misses = -1;
   f64 inflight_sum = 0;
   u64 inflight_n = 0;
+  // process.minflt samples (ts, value), in timestamp order.
+  std::vector<std::pair<u64, f64>> minflt;
 
   for (const event& e : evs) {
     t_min = std::min(t_min, e.ts_ns);
@@ -352,6 +363,8 @@ summary compute_summary() {
         last_pool_hits = e.value;
       } else if (std::strcmp(e.name, "pool.device.misses") == 0) {
         last_pool_misses = e.value;
+      } else if (std::strcmp(e.name, "process.minflt") == 0) {
+        minflt.emplace_back(e.ts_ns, e.value);
       } else if (std::strcmp(e.name, "chunked.inflight") == 0) {
         s.max_inflight = std::max(s.max_inflight, e.value);
         inflight_sum += e.value;
@@ -360,6 +373,24 @@ summary compute_summary() {
     }
   }
   s.wall_s = static_cast<f64>(t_max - t_min) / 1e9;
+  if (!minflt.empty()) {
+    s.minflt = minflt.back().second - minflt.front().second;
+    // The count at time t is the latest sample at or before t (the first
+    // sample before any); a stage's faults are its end minus its begin.
+    auto at = [&](u64 t) {
+      auto it = std::upper_bound(
+          minflt.begin(), minflt.end(), t,
+          [](u64 v, const std::pair<u64, f64>& p) { return v < p.first; });
+      return it == minflt.begin() ? minflt.front().second
+                                  : std::prev(it)->second;
+    };
+    for (const event& e : evs) {
+      if (e.k == kind::span && std::strcmp(e.cat, "pipeline") == 0) {
+        stages[e.name].minflt +=
+            static_cast<u64>(at(e.ts_ns + e.dur_ns) - at(e.ts_ns));
+      }
+    }
+  }
   for (auto& [k, v] : stages) s.stages.push_back(std::move(v));
 
   // Overlap: busy = sum over streams of that stream's unioned intervals;
@@ -399,12 +430,25 @@ std::string summary_report() {
   if (!s.stages.empty()) {
     out += "per-stage wall time (cat=pipeline):\n";
     for (const stage_stat& st : s.stages) {
-      std::snprintf(buf, sizeof(buf), "  %-28s %6llu calls  %10.3f ms\n",
+      std::snprintf(buf, sizeof(buf), "  %-28s %6llu calls  %10.3f ms",
                     st.name.c_str(),
                     static_cast<unsigned long long>(st.count),
                     st.total_s * 1e3);
       out += buf;
+      if (s.minflt >= 0) {
+        std::snprintf(buf, sizeof(buf), "  %8llu minflt",
+                      static_cast<unsigned long long>(st.minflt));
+        out += buf;
+      }
+      out += '\n';
     }
+  }
+  if (s.minflt >= 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "process minor faults: %.0f between the first and last "
+                  "process.minflt sample\n",
+                  s.minflt);
+    out += buf;
   }
   std::snprintf(buf, sizeof(buf),
                 "stream busy %.3f ms, overlap %.1f%% (time >=2 streams "

@@ -93,6 +93,13 @@ void instant(std::string_view cat, std::string_view name, u32 stream_id = 0,
 /// time series; exporters render them as Perfetto counter tracks.
 void counter(std::string_view name, f64 value);
 
+/// Record the process's cumulative minor page-fault count
+/// (`getrusage(RUSAGE_SELF).ru_minflt`) as the `process.minflt` counter.
+/// Pipelines sample it at their stage boundaries, and the summary turns
+/// the samples into per-stage fault deltas (first-touch cost). No-op
+/// (single branch) while disabled.
+void sample_minflt();
+
 /// Record a completed span after the fact (begin + duration already
 /// measured, e.g. by a stage stopwatch).
 void complete(std::string_view cat, std::string_view name, u64 begin_ns,
@@ -154,6 +161,9 @@ struct stage_stat {
   std::string name;
   u64 count = 0;
   f64 total_s = 0;
+  /// Minor faults the process took inside this stage's spans (process-
+  /// wide `process.minflt` deltas, so concurrent stages share them).
+  u64 minflt = 0;
 };
 
 /// Machine-readable rollup of the recorded events; `summary_report()`
@@ -170,12 +180,16 @@ struct summary {
   u64 pool_misses = 0;     ///< traced pool-miss instants
   f64 max_inflight = 0;    ///< peak of the chunked.inflight counter
   f64 mean_inflight = 0;   ///< mean of chunked.inflight samples
+  /// process.minflt growth from the first to the last sample; -1 when the
+  /// trace holds no sample.
+  f64 minflt = -1;
 };
 
 [[nodiscard]] summary compute_summary();
 
-/// Human-readable report over compute_summary(): per-stage wall time,
-/// stream overlap %, pool hit rate, chunk-window occupancy.
+/// Human-readable report over compute_summary(): per-stage wall time (and
+/// minor faults, when sampled), stream overlap %, pool hit rate,
+/// chunk-window occupancy.
 [[nodiscard]] std::string summary_report();
 
 /// The STF task-graph DOT dump slot: `stf::context::finalize()` publishes

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string_view>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/chunked.hh"
 #include "fzmod/core/snapshot.hh"
+#include "fzmod/device/runtime.hh"
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/trace/trace.hh"
 
@@ -308,6 +310,35 @@ TEST(Chunked, DecompressAnyHandlesBothForms) {
   ASSERT_TRUE(fmt::is_chunk_container(v3));
   expect_within_bound(v, decompress_any<f32>(v2), 1e-4);
   expect_within_bound(v, decompress_any<f32>(v3), 1e-4);
+}
+
+TEST(Chunked, SpanDecodeMatchesVectorDecodeForBothForms) {
+  const dims3 d{64, 24, 1};
+  const auto v = smooth_field(d, 43);
+  pipeline<f32> plain(pipeline_config{});
+  const auto v2 = plain.compress(v, d);
+  chunked_options opt;
+  opt.chunk_elems = 64 * 6;
+  chunked_pipeline<f32> cp(pipeline_config{}, opt);
+  const auto v3 = cp.compress(v, d);
+  ASSERT_TRUE(fmt::is_chunk_container(v3));
+  for (const auto* arch : {&v2, &v3}) {
+    ASSERT_EQ(decoded_len(*arch), d.len());
+    const std::vector<f32> want = cp.decompress(*arch);
+    // A host-space pool buffer, as the CLI decodes into.
+    device::buffer<f32> out(d.len(), device::space::host);
+    cp.decompress(*arch, out.span());
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), out.bytes()), 0);
+    for (const std::size_t wrong : {d.len() - 1, d.len() + 1}) {
+      std::vector<f32> bad(wrong);
+      try {
+        cp.decompress(*arch, std::span<f32>(bad));
+        ADD_FAILURE() << "expected invalid_argument for " << wrong;
+      } catch (const error& e) {
+        EXPECT_EQ(e.code(), status::invalid_argument);
+      }
+    }
+  }
 }
 
 TEST(Chunked, DtypeMismatchThrows) {

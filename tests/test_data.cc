@@ -108,6 +108,17 @@ TEST(Generate, HaccVelocityFieldsCentredAtZero) {
   EXPECT_NEAR(mean, 0.0, 10.0);
 }
 
+/// Run `f`, expecting an fzmod::error with status::invalid_argument.
+template <class F>
+void expect_invalid_argument(F f) {
+  try {
+    f();
+    ADD_FAILURE() << "expected status::invalid_argument";
+  } catch (const error& e) {
+    EXPECT_EQ(e.code(), status::invalid_argument) << e.what();
+  }
+}
+
 TEST(Io, RoundTripRawField) {
   const auto path =
       (std::filesystem::temp_directory_path() / "fzmod_io_test.f32")
@@ -126,12 +137,44 @@ TEST(Io, SizeMismatchThrows) {
           .string();
   std::vector<f32> v(10, 1.0f);
   store_f32_field(path, v);
-  EXPECT_THROW((void)load_f32_field(path, dims3(11)), error);
+  expect_invalid_argument([&] { (void)load_f32_field(path, dims3(11)); });
+  expect_invalid_argument([&] { (void)load_f32_field(path, dims3(9)); });
+  // A byte count that is not a whole number of values is short too.
+  write_file(path, std::vector<u8>(10 * sizeof(f32) - 1, 0));
+  expect_invalid_argument([&] { (void)load_f32_field(path, dims3(10)); });
   std::remove(path.c_str());
 }
 
 TEST(Io, MissingFileThrows) {
   EXPECT_THROW((void)read_file("/nonexistent/fzmod/path.bin"), error);
+  expect_invalid_argument([] {
+    (void)load_f32_field("/nonexistent/fzmod/path.f32", dims3(10));
+  });
+}
+
+TEST(Io, ReadIntoFillsAnExactSpan) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "fzmod_io_test3.bin")
+          .string();
+  const std::vector<u8> bytes{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  write_file(path, bytes);
+  std::vector<u8> dst(bytes.size(), 0xEE);
+  read_into(path, dst);
+  EXPECT_EQ(dst, bytes);
+  std::remove(path.c_str());
+}
+
+TEST(Io, ReadIntoRejectsSizeMismatchShortAndMissingFiles) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "fzmod_io_test4.bin")
+          .string();
+  write_file(path, std::vector<u8>(10, 7));
+  std::vector<u8> longer(11), shorter(9);
+  expect_invalid_argument([&] { read_into(path, longer); });   // short file
+  expect_invalid_argument([&] { read_into(path, shorter); });  // long file
+  expect_invalid_argument(
+      [&] { read_into("/nonexistent/fzmod/path.bin", shorter); });
+  std::remove(path.c_str());
 }
 
 }  // namespace

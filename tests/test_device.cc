@@ -296,6 +296,102 @@ TEST(Pool, RuntimeReusesBufferBlocks) {
   EXPECT_EQ(ps.hits.load(), hits_before + 1);
 }
 
+bool huge_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) %
+             memory_pool::huge_page_bytes ==
+         0;
+}
+
+/// Write a byte pattern over the whole block and read both ends back.
+void expect_writable(void* p, std::size_t bytes) {
+  auto* b = static_cast<unsigned char*>(p);
+  std::memset(b, 0xA5, bytes);
+  EXPECT_EQ(b[0], 0xA5);
+  EXPECT_EQ(b[bytes / 2], 0xA5);
+  EXPECT_EQ(b[bytes - 1], 0xA5);
+}
+
+TEST(Pool, LargeBlocksAreHugePageAlignedAndReused) {
+  pool_stats st;
+  memory_pool pool(st, /*enabled=*/true);
+  // The smallest huge bin (2 MiB) and two above it (4 and 8 MiB).
+  for (const std::size_t sz : {(std::size_t{1} << 20) + 1,
+                               (std::size_t{3} << 20) + 7,
+                               (std::size_t{5} << 20) + 123}) {
+    const u64 hits = st.hits.load();
+    void* p = pool.allocate(sz);
+    EXPECT_TRUE(huge_aligned(p)) << sz;
+    expect_writable(p, sz);
+    pool.deallocate(p, sz);
+    const std::size_t bin = memory_pool::bin_bytes(sz);
+    void* q = pool.allocate(bin);  // same bin: a pool hit
+    EXPECT_EQ(q, p) << sz;
+    EXPECT_EQ(st.hits.load(), hits + 1) << sz;
+    pool.deallocate(q, bin);
+  }
+  const u64 cached = (u64{2} << 20) + (u64{4} << 20) + (u64{8} << 20);
+  EXPECT_EQ(st.bytes_cached.load(), cached);
+  EXPECT_EQ(pool.trim(), cached);
+  EXPECT_EQ(st.bytes_cached.load(), 0u);
+}
+
+TEST(Pool, LargeBlocksRoundTripAcrossPoolToggles) {
+  pool_stats st;
+  memory_pool pool(st, /*enabled=*/false);
+  const std::size_t sz = std::size_t{3} << 20;  // 4 MiB bin
+  // Allocated pass-through with the pool off, freed into the cache with
+  // it on, reused, then released by the disabling trim.
+  void* p = pool.allocate(sz);
+  EXPECT_TRUE(huge_aligned(p));
+  expect_writable(p, sz);
+  pool.set_enabled(true);
+  pool.deallocate(p, sz);
+  EXPECT_EQ(st.bytes_cached.load(), u64{4} << 20);
+  void* q = pool.allocate(sz);
+  EXPECT_EQ(q, p);
+  expect_writable(q, sz);
+  pool.deallocate(q, sz);
+  pool.set_enabled(false);
+  EXPECT_EQ(st.bytes_cached.load(), 0u);
+  EXPECT_EQ(st.bytes_trimmed.load(), u64{4} << 20);
+  // Allocated with the pool on, freed pass-through with it off.
+  pool.set_enabled(true);
+  void* r = pool.allocate(sz);
+  EXPECT_TRUE(huge_aligned(r));
+  pool.set_enabled(false);
+  pool.deallocate(r, sz);
+  EXPECT_EQ(st.bytes_cached.load(), 0u);
+}
+
+TEST(Pool, RuntimeLargeBuffersReleaseOnTrimAndDisable) {
+  auto& rt = runtime::instance();
+  const bool was_on = rt.pool_enabled();
+  rt.set_pool_enabled(true);
+  for (const space sp : {space::host, space::device}) {
+    void* first = nullptr;
+    {
+      buffer<u8> b(std::size_t{3} << 20, sp);
+      EXPECT_TRUE(huge_aligned(b.data())) << to_string(sp);
+      expect_writable(b.data(), b.bytes());
+      first = b.data();
+    }
+    {
+      buffer<u8> again(std::size_t{3} << 20, sp);
+      EXPECT_EQ(again.data(), first) << to_string(sp);
+    }
+  }
+  EXPECT_GE(rt.trim_pools(), u64{8} << 20);  // both 4 MiB blocks
+  {
+    buffer<u8> h(std::size_t{3} << 20, space::host);
+    buffer<u8> d(std::size_t{3} << 20, space::device);
+  }
+  rt.set_pool_enabled(false);  // trims both pools
+  const auto snap = rt.stats_snapshot();
+  EXPECT_EQ(snap.host_pool.bytes_cached, 0u);
+  EXPECT_EQ(snap.device_pool.bytes_cached, 0u);
+  rt.set_pool_enabled(was_on);
+}
+
 TEST(RuntimeStats, ResetPeakRebasesToCurrentUse) {
   auto& st = runtime::instance().stats();
   {

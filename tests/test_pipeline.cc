@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "fzmod/common/rng.hh"
 #include "fzmod/core/pipeline.hh"
@@ -145,6 +146,28 @@ TEST(Pipeline, RejectsBadRadius) {
   EXPECT_THROW(pipeline<f32> p(cfg), error);
   cfg.radius = 1 << 20;
   EXPECT_THROW(pipeline<f32> p(cfg), error);
+}
+
+TEST(Pipeline, SpanDecodeMatchesVectorDecode) {
+  const dims3 d{40, 30, 3};
+  const auto v = smooth_field(d, 14);
+  for (const bool secondary : {false, true}) {
+    auto cfg = pipeline_config::preset_default({1e-4, eb_mode::rel});
+    cfg.secondary = secondary;
+    pipeline<f32> p(cfg);
+    const auto archive = p.compress(v, d);
+    const std::vector<f32> want = p.decompress(archive);
+    std::vector<f32> got(d.len(), -1.0f);
+    p.decompress(archive, std::span<f32>(got));
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0);
+    std::vector<f32> short_out(d.len() - 1);
+    try {
+      p.decompress(archive, std::span<f32>(short_out));
+      ADD_FAILURE() << "expected invalid_argument";
+    } catch (const error& e) {
+      EXPECT_EQ(e.code(), status::invalid_argument);
+    }
+  }
 }
 
 TEST(Pipeline, RejectsCorruptArchive) {

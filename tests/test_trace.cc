@@ -14,6 +14,8 @@
 #include <variant>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "fzmod/core/pipeline.hh"
 #include "fzmod/core/stf_pipeline.hh"
 #include "fzmod/device/runtime.hh"
@@ -193,6 +195,7 @@ TEST(Trace, DisabledPathRecordsNothing) {
   trace::instant("t", "instant");
   trace::counter("t.counter", 1);
   trace::complete("t", "complete", 0, 100);
+  trace::sample_minflt();
   {
     FZMOD_TRACE_SPAN("t", "raii");
   }
@@ -430,6 +433,51 @@ TEST(Trace, SummaryAggregatesFabricatedEvents) {
   EXPECT_EQ(s.d2h_bytes, 500u);
   EXPECT_NEAR(s.max_inflight, 4.0, 1e-12);
   EXPECT_NEAR(s.mean_inflight, 3.0, 1e-12);
+}
+
+TEST(Trace, MinfltDeltasLandInTheirStage) {
+  trace_session session;
+  // A stage that first-touches a fresh 8 MiB mapping must be charged
+  // its faults: samples bracket the stage, as pipeline stages do.
+  const std::size_t n = std::size_t{8} << 20;
+  void* fresh = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(fresh, MAP_FAILED);
+  trace::sample_minflt();
+  const u64 begin = trace::now_ns();
+  for (std::size_t i = 0; i < n; i += 4096) {
+    static_cast<volatile char*>(fresh)[i] = 1;
+  }
+  trace::sample_minflt();
+  trace::complete("pipeline", "touch", begin, trace::now_ns() - begin);
+  ::munmap(fresh, n);
+
+  // A real compress samples at entry and at every stage boundary; its
+  // sequential stages can account for no more than the whole call.
+  std::vector<f32> field(128 * 128);
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    field[i] = std::sin(static_cast<f32>(i) * 0.01f);
+  }
+  core::pipeline<f32> pipe(
+      core::pipeline_config::preset_default({1e-3, eb_mode::rel}));
+  (void)pipe.compress(field, {128, 128, 1});
+
+  const trace::summary s = trace::compute_summary();
+  std::map<std::string, trace::stage_stat> stages;
+  for (const auto& st : s.stages) stages[st.name] = st;
+  ASSERT_TRUE(stages.count("touch"));
+  ASSERT_TRUE(stages.count("compress"));
+  EXPECT_GT(stages["touch"].minflt, 0u);
+  u64 staged = 0;
+  for (const char* name :
+       {"preprocess", "predict", "encode", "verify", "secondary"}) {
+    ASSERT_TRUE(stages.count(name)) << name;
+    staged += stages[name].minflt;
+  }
+  EXPECT_LE(staged, stages["compress"].minflt);
+  EXPECT_GE(s.minflt, static_cast<f64>(stages["touch"].minflt +
+                                       stages["compress"].minflt));
+  EXPECT_NE(trace::summary_report().find("minflt"), std::string::npos);
 }
 
 TEST(Trace, ClearDropsEverything) {

@@ -37,6 +37,7 @@
 #include "fzmod/core/stream_io.hh"
 #include "fzmod/data/datasets.hh"
 #include "fzmod/data/io.hh"
+#include "fzmod/device/runtime.hh"
 #include "fzmod/kernels/chunked_hash.hh"
 #include "fzmod/metrics/metrics.hh"
 #include "fzmod/serve/daemon.hh"
@@ -372,7 +373,13 @@ int cmd_compress(const args& a) {
     return cmd_compress_stream(a);
   }
   const dims3 dims = parse_dims(a.require("--dims"));
-  const auto field = data::load_f32_field(a.require("-i"), dims);
+  // Read straight into a host-space pool buffer (huge-page advised when
+  // large): no staging vector, no copy. The pipeline still pays the H2D
+  // into its device buffer, as the paper's transfer model does.
+  device::buffer<f32> host(dims.len(), device::space::host);
+  data::read_into(a.require("-i"), {reinterpret_cast<u8*>(host.data()),
+                                    host.bytes()});
+  const std::span<const f32> field = host.span();
   const auto cfg = build_config(a, field, dims);
   const trace_request tr = parse_trace(a);
   stopwatch sw;
@@ -417,7 +424,9 @@ int cmd_decompress(const args& a) {
                           a.has("--prefetch") || a.has("--index") ||
                           a.has("--use-index");
   stopwatch sw;
-  std::vector<f32> field;
+  std::vector<f32> ranged;         // reader path
+  device::buffer<f32> host;        // one-shot path: a host-space pool block
+  std::span<const f32> field;
   if (use_reader) {
     core::reader_options ropt;
     if (a.has("--reader-cache-mb")) {
@@ -438,10 +447,11 @@ int cmd_decompress(const args& a) {
     }
     if (a.has("--range")) {
       const auto [off, cnt] = parse_range(a.get("--range"));
-      field = r.read(off, cnt);
+      ranged = r.read(off, cnt);
     } else {
-      field = r.read(0, r.size());
+      ranged = r.read(0, r.size());
     }
+    field = ranged;
     const auto st = r.stats();
     std::fprintf(stderr,
                  "reader: %llu reads, hit rate %.1f%%, %llu evictions, "
@@ -454,7 +464,10 @@ int cmd_decompress(const args& a) {
                  st.index_used ? ", index used" : "");
   } else {
     core::chunked_pipeline<f32> pipe(core::pipeline_config{}, chunk_opts(a));
-    field = pipe.decompress(archive);
+    host = device::buffer<f32>(core::decoded_len(archive),
+                               device::space::host);
+    pipe.decompress(archive, host.span());
+    field = host.span();
   }
   const f64 t = sw.seconds();
   finish_trace(tr);
