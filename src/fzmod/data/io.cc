@@ -1,5 +1,6 @@
 #include "fzmod/data/io.hh"
 
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -9,16 +10,11 @@
 namespace fzmod::data {
 
 std::vector<u8> read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  FZMOD_REQUIRE(f.good(), status::invalid_argument,
-                "cannot open file: " + path);
-  const auto size = static_cast<std::size_t>(f.tellg());
-  f.seekg(0);
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  FZMOD_REQUIRE(!ec, status::invalid_argument, "cannot open file: " + path);
   std::vector<u8> bytes(size);
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(size));
-  FZMOD_REQUIRE(f.good() || f.eof(), status::invalid_argument,
-                "short read: " + path);
+  read_into(path, bytes);
   return bytes;
 }
 
@@ -28,7 +24,7 @@ void read_into(const std::string& path, std::span<u8> dst) {
                 "cannot open file: " + path);
   const auto size = static_cast<std::size_t>(f.tellg());
   FZMOD_REQUIRE(size == dst.size(), status::invalid_argument,
-                "field size mismatch for " + path + ": " +
+                "size mismatch for " + path + ": " +
                     std::to_string(size) + " bytes, expected " +
                     std::to_string(dst.size()));
   f.seekg(0);
